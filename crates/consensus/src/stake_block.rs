@@ -357,10 +357,9 @@ impl Actor for StakeGovernor {
                         let ns = t0.elapsed().as_nanos() as u64;
                         self.obs.add_counter("wall.crypto_ns", ns);
                         // Certificates authenticate the *committee*, not
-                        // provider transactions, so the pipelined engine
-                        // cannot defer them — tracked separately so the
-                        // E14 crypto split can tell the non-deferrable
-                        // slice apart.
+                        // provider transactions — tracked separately so a
+                        // profile can tell the certificate share of the
+                        // crypto time apart from transaction screening.
                         self.obs.add_counter("wall.cert_ns", ns);
                     }
                     ok

@@ -27,12 +27,10 @@
 use prb_crypto::sha256::Digest;
 use prb_crypto::signer::{self, PublicKey, Sig, VrfEvaluation};
 
-/// Default inline threshold: below this many items a drain runs inline on
-/// the caller's thread — the per-thread spawn + join overhead outweighs any
+/// Inline threshold: below this many items a drain runs inline on the
+/// caller's thread — the per-thread spawn + join overhead outweighs any
 /// parallel win, and the sim scheme's hash-only checks are far cheaper than
-/// a context switch. Tunable per pool via [`VerifyPool::with_inline_min`]
-/// (surfaced as `ProtocolConfig::verify_inline_min`; the E14 micro-sweep in
-/// `exp_throughput --pipeline` confirms 8 as the default).
+/// a context switch.
 pub const PAR_MIN_ITEMS: usize = 8;
 
 /// Minimum items per worker chunk; keeps the RLC combination large enough
@@ -47,7 +45,6 @@ const MIN_CHUNK: usize = 4;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VerifyPool {
     threads: usize,
-    inline_min: usize,
 }
 
 impl Default for VerifyPool {
@@ -61,14 +58,6 @@ impl VerifyPool {
     /// parallelism (capped at 8 — verification batches rarely have enough
     /// items to feed more workers).
     pub fn new(threads: usize) -> Self {
-        VerifyPool::with_inline_min(threads, PAR_MIN_ITEMS)
-    }
-
-    /// Creates a pool with an explicit inline threshold: batches smaller
-    /// than `inline_min` verify on the caller's thread regardless of the
-    /// worker count. `inline_min == 0` behaves like `1` (every non-empty
-    /// batch may fan out). Verdicts never depend on the threshold.
-    pub fn with_inline_min(threads: usize, inline_min: usize) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
@@ -76,10 +65,7 @@ impl VerifyPool {
         } else {
             threads
         };
-        VerifyPool {
-            threads,
-            inline_min: inline_min.max(1),
-        }
+        VerifyPool { threads }
     }
 
     /// A pool that always verifies inline on the caller's thread.
@@ -90,11 +76,6 @@ impl VerifyPool {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured inline threshold.
-    pub fn inline_min(&self) -> usize {
-        self.inline_min
     }
 
     /// Verifies a batch of signatures; `out[i]` is the verdict for
@@ -117,7 +98,7 @@ impl VerifyPool {
         O: Send,
         F: Fn(&[I]) -> Vec<O> + Sync,
     {
-        if self.threads <= 1 || items.len() < self.inline_min {
+        if self.threads <= 1 || items.len() < PAR_MIN_ITEMS {
             return f(items);
         }
         let workers = self.threads.min(items.len().div_ceil(MIN_CHUNK)).max(1);
@@ -222,26 +203,5 @@ mod tests {
         assert!(VerifyPool::new(0).threads() >= 1);
         assert_eq!(VerifyPool::single_threaded().threads(), 1);
         assert_eq!(VerifyPool::default(), VerifyPool::single_threaded());
-    }
-
-    #[test]
-    fn inline_threshold_is_tunable_and_never_changes_verdicts() {
-        assert_eq!(VerifyPool::new(2).inline_min(), PAR_MIN_ITEMS);
-        assert_eq!(VerifyPool::with_inline_min(2, 0).inline_min(), 1);
-        let (keys, msgs, mut sigs) = schnorr_fixture(6);
-        sigs[2] = keys[2].sign(b"not the message");
-        let pks: Vec<_> = keys.iter().map(|k| k.public_key()).collect();
-        let items: Vec<(&[u8], &Sig, &PublicKey)> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (&m[..], &sigs[i], &pks[i]))
-            .collect();
-        let expected: Vec<bool> = items.iter().map(|(m, s, pk)| pk.verify(m, s)).collect();
-        // 6 items sit below the default threshold (inline) but above a
-        // threshold of 2 (fan out); verdicts must be identical either way.
-        for inline_min in [1, 2, 8, 64] {
-            let pool = VerifyPool::with_inline_min(3, inline_min);
-            assert_eq!(pool.verify_sigs(&items), expected, "inline={inline_min}");
-        }
     }
 }

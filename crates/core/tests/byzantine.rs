@@ -84,7 +84,7 @@ fn equivocator_is_convicted_and_expelled_on_every_honest_node() {
 #[test]
 fn invalid_proposals_are_rejected_and_attributed() {
     let mut sim = byz_sim(GovernorProfile::invalid_proposer().sleeper(2), 3);
-    run_until_acted(&mut sim, 24, |s| s.metrics(3).invalid_proposals_sent >= 1);
+    let fired = run_until_acted(&mut sim, 24, |s| s.metrics(3).invalid_proposals_sent >= 1);
     sim.run(2);
     sim.settle(200);
 
@@ -107,8 +107,19 @@ fn invalid_proposals_are_rejected_and_attributed() {
         // it is self-incriminating: every honest node convicts.
         assert_eq!(sim.governor(g).expelled(), &[3], "governor {g}");
         assert_eq!(sim.governor(g).stake_table().stake(3), Some(0));
+        // Same-round conviction: the forged block is rejected on receipt,
+        // before the next round's number is adopted.
+        let expelled_in = sim.metrics(g).expulsion_round[&3];
+        assert!(
+            expelled_in <= u64::from(fired),
+            "governor {g} convicted in round {expelled_in} (crime in {fired})"
+        );
     }
     assert!(sim.chains_prefix_agree(&[0, 1, 2]));
+    assert!(
+        sim.governor(0).chain().height() >= u64::from(fired),
+        "committee stalled after the rejection"
+    );
 }
 
 #[test]

@@ -46,9 +46,18 @@ fn submitted_traces(events: &[Event]) -> Vec<u64> {
 
 #[test]
 fn honest_run_trace_is_legal_unique_and_fully_covered() {
+    // Paranoid block adoption re-verifies every entry on receipt; the
+    // stream must stay legal and fully closed either way.
+    for verify_blocks in [false, true] {
+        honest_run_trace_case(verify_blocks);
+    }
+}
+
+fn honest_run_trace_case(verify_blocks: bool) {
     let cfg = ProtocolConfig {
         seed: 7,
         reveal: RevealPolicy::AfterRounds(1),
+        verify_blocks,
         ..Default::default()
     };
     let expected = (cfg.providers * cfg.tx_per_provider) as u64 * 6;
@@ -239,4 +248,50 @@ fn censoring_leader_emits_censored_drops() {
         censored_events, censored_metric,
         "every censored entry is attributed in the trace"
     );
+}
+
+#[test]
+fn invalid_proposal_conviction_leaves_no_open_traces() {
+    // A sleeper invalid-proposer ships a block with a fabricated entry;
+    // honest governors reject it on receipt and expel the proposer.
+    // Every *submitted* transaction must still terminate. No full-stream
+    // `validate` here: after its expulsion the culprit keeps committing
+    // fabrications to its own fork, which honest nodes ignore outright,
+    // so those traces are unfounded by design (see the forged-drop
+    // exemption above).
+    let cfg = ProtocolConfig {
+        providers: 2,
+        collectors: 2,
+        governors: 4,
+        replication: 2,
+        tx_per_provider: 2,
+        verify_blocks: true,
+        reliable_delivery: true,
+        governor_profiles: vec![
+            GovernorProfile::honest(),
+            GovernorProfile::honest(),
+            GovernorProfile::honest(),
+            GovernorProfile::invalid_proposer().sleeper(2),
+        ],
+        seed: 3,
+        ..Default::default()
+    };
+    let mut sim = Simulation::new(cfg).expect("valid config");
+    let (_ring, obs) = ring_obs();
+    sim.set_obs(Rc::clone(&obs));
+    sim.run(12);
+    sim.run_drain_rounds(3);
+    sim.settle(400);
+
+    assert!(
+        sim.metrics(3).invalid_proposals_sent >= 1,
+        "governor 3 never forged; pick another seed"
+    );
+    assert_eq!(sim.governor(0).expelled(), &[3]);
+    assert!(
+        obs.open_traces().is_empty(),
+        "open traces left behind: {:?}",
+        obs.open_traces()
+    );
+    assert!(obs.lifecycle_counts().committed > 0);
 }
