@@ -29,7 +29,8 @@ pub struct SignedHeader {
     pub serial: u64,
     /// The proposed block's hash `H(B)`.
     pub block_hash: Digest,
-    /// Signature over the above under [`HEADER_TAG`].
+    /// Signature over the above under the `prb-proposal-header` domain
+    /// tag.
     pub sig: Sig,
 }
 

@@ -187,7 +187,7 @@ pub struct ProtocolConfig {
     /// `0` (default) disables silence decay.
     pub decay_halflife: u64,
     /// Seed for the deterministic fast hasher behind every hot-path map
-    /// (`prb_crypto::fxhash`). Any value yields byte-identical ledgers —
+    /// (`prb_obs::fxhash`). Any value yields byte-identical ledgers —
     /// the `hash_seed_never_changes_the_ledger` regression proves map
     /// iteration order never reaches consensus. `0` means the library
     /// default seed.
@@ -368,7 +368,7 @@ impl ProtocolConfig {
     /// when left at 0.
     pub fn resolved_hash_seed(&self) -> u64 {
         if self.hash_seed == 0 {
-            prb_crypto::fxhash::DEFAULT_SEED
+            prb_obs::fxhash::DEFAULT_SEED
         } else {
             self.hash_seed
         }
@@ -539,7 +539,7 @@ mod tests {
     #[test]
     fn hash_seed_zero_resolves_to_library_default() {
         let cfg = ProtocolConfig::default();
-        assert_eq!(cfg.resolved_hash_seed(), prb_crypto::fxhash::DEFAULT_SEED);
+        assert_eq!(cfg.resolved_hash_seed(), prb_obs::fxhash::DEFAULT_SEED);
         let cfg = ProtocolConfig {
             hash_seed: 7,
             ..Default::default()

@@ -28,7 +28,6 @@ use prb_consensus::membership::{
 };
 use prb_consensus::stake::{StakeTable, StakeTransfer};
 use prb_consensus::verify_pool::VerifyPool;
-use prb_crypto::fxhash::{fx_map_seeded, fx_set_seeded, FxMap, FxSet};
 use prb_crypto::identity::NodeId;
 use prb_crypto::sha256::Digest;
 use prb_crypto::signer::{KeyPair, PublicKey, Sig};
@@ -43,6 +42,7 @@ use prb_net::retry::{ReliableSender, RetryConfig};
 use prb_net::sim::Context;
 use prb_net::time::{SimDuration, SimTime};
 use prb_net::topology::Topology;
+use prb_obs::fxhash::{fx_map_seeded, fx_set_seeded, FxMap, FxSet};
 use prb_obs::{phases, EventKind as ObsEvent, Obs, ObsHandle, Span};
 use prb_reputation::screening::{screen, Report};
 use prb_reputation::update::{RevealedBehaviour, RevealedReport};

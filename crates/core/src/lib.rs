@@ -13,7 +13,11 @@
 //! - [`provider`] / [`collector`] / [`governor`] — the three roles;
 //!   Algorithm 1 lives in the collector, Algorithms 2 and 3 plus argue
 //!   handling, elections, blocks and revenue live in the governor,
-//! - [`sim`] — the driver that wires a deployment and runs rounds,
+//! - [`sim`] — the round driver: one generic [`sim::Driver`] wires a
+//!   deployment and runs rounds; [`Simulation`] is its closed-loop tier
+//!   (one actor per provider, reveals, churn),
+//! - [`scale`] — [`scale::ScaleSim`], the same driver with an interned,
+//!   open-loop provider tier for 10⁵–10⁶-provider runs (E15),
 //! - [`metrics`] — per-governor loss/regret/cost accounting,
 //! - [`workload`] — the transaction-source abstraction.
 //!

@@ -47,7 +47,6 @@
 pub mod batch;
 pub mod bigint;
 pub mod dleq;
-pub mod fxhash;
 pub mod group;
 pub mod hex;
 pub mod hmac;

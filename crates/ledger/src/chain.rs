@@ -19,8 +19,8 @@
 
 use std::fmt;
 
-use prb_crypto::fxhash::{fx_map, FxMap};
 use prb_crypto::sha256::Digest;
+use prb_obs::fxhash::{fx_map, FxMap};
 
 use crate::block::{Block, BlockEntry, Verdict};
 use crate::codec::{self, DecodeError};

@@ -188,7 +188,7 @@ impl Topology {
     /// per-provider slot in the collector's reputation vector (§3.4).
     ///
     /// `providers_of` lists are built by scanning providers in ascending
-    /// order ([`Self::from_provider_adjacency`]), so they are always
+    /// order (`from_provider_adjacency`), so they are always
     /// sorted and this is a binary search. The linear scan it replaces
     /// was O(s) *per report per screened transaction* — at s = 6250
     /// (10⁵ providers over 64 collectors) it dominated governor

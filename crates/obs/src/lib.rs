@@ -18,6 +18,8 @@
 //! - [`Span`]: sim-time intervals for the protocol phases
 //!   (election → proposal → screening → vote → commit → reveal → argue),
 //!   recorded into `phase.<name>` histograms.
+//! - [`fxhash`]: the seeded deterministic hasher behind every per-tx map
+//!   in the workspace (lifecycle tracker, chain index, governor pools).
 //!
 //! Everything hangs off an [`Obs`] behind an [`ObsHandle`]
 //! (`Rc<Obs>`): the network kernel, the protocol nodes, and the
@@ -26,7 +28,7 @@
 //! untraced run pays nothing.
 
 mod event;
-mod fxhash;
+pub mod fxhash;
 pub mod json;
 pub mod lifecycle;
 mod metrics;

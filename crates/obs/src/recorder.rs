@@ -133,9 +133,9 @@ impl Recorder for TeeRecorder {
 
 /// Serializes each event as one JSON line.
 ///
-/// The writer is kept in an `Option` purely so [`into_inner`]
-/// (`JsonlRecorder::into_inner`) can move it out past the flush-on-drop
-/// guard; it is `Some` for the recorder's whole working life.
+/// The writer is kept in an `Option` purely so
+/// [`into_inner`](JsonlRecorder::into_inner) can move it out past the
+/// flush-on-drop guard; it is `Some` for the recorder's whole working life.
 pub struct JsonlRecorder<W: Write> {
     out: RefCell<Option<W>>,
     line: RefCell<String>,
